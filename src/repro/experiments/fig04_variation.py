@@ -90,9 +90,10 @@ def die_ratios(n_dies: int, tech: TechParams = DEFAULT_TECH,
     analysis — is independent, so with ``workers > 1`` whole dies
     shard across processes via :func:`repro.parallel.run_sharded`.
     Within a process the analysis is die-batched through
-    :class:`~repro.runtime.kernel.FleetEvalKernel` (all dies of the
-    shard evaluate each (core, app) point in lockstep), which is
-    bitwise-identical to the historical per-die loop. ``with_power=
+    :class:`~repro.runtime.kernel.FleetEvalKernel` (one kernel per
+    core whose rows are every (app, die) pair of the shard, evaluated
+    in lockstep), which is bitwise-identical to the historical per-die
+    loop. ``with_power=
     False`` skips the expensive 4(a) power analysis and reports NaN
     for it (Figure 5(b) only needs frequencies).
     """

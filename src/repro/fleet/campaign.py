@@ -90,12 +90,13 @@ def fleet_die_metrics(chips: Sequence[ChipProfile],
     :func:`repro.experiments.fig04_variation.core_power_ratio` /
     ``core_frequency_ratio`` pair computes per die — every app alone
     on every core at max levels, per-core mean power over apps, die
-    ratio max/min — but each (core, app) cell is one
-    :meth:`FleetEvalKernel.evaluate_max_levels_fleet` call across the
-    whole chunk instead of one serial evaluation per die. The per-die
-    mean keeps the serial reduction form (``np.mean`` over a
-    contiguous per-die row), so results are bitwise-identical to the
-    serial loop (property-tested in tests/test_fleet.py).
+    ratio max/min — with one :class:`FleetEvalKernel` per core whose
+    rows are every (app, die) pair, app-major, all evaluated in one
+    :meth:`FleetEvalKernel.evaluate_max_levels_fleet` call. The
+    per-die mean keeps the serial reduction form (``np.mean`` over a
+    contiguous per-die row of app powers), so results are bitwise-
+    identical to the serial loop (property-tested in
+    tests/test_fleet.py).
     """
     d = len(chips)
     n_cores = chips[0].n_cores
@@ -105,16 +106,17 @@ def fleet_die_metrics(chips: Sequence[ChipProfile],
         [float(fmax[b].max() / fmax[b].min()) for b in range(d)])
     if not with_power:
         return cols
-    n_apps = len(SPEC_APPS)
+    workloads = [Workload((app,)) for app in SPEC_APPS]
     mean_power = np.empty((d, n_cores))
-    powers = np.empty((d, n_apps))
     for core_id in range(n_cores):
-        assignment = Assignment(core_of=(core_id,))
-        for a, app in enumerate(SPEC_APPS):
-            kernel = FleetEvalKernel(chips, Workload((app,)), assignment)
-            states = kernel.evaluate_max_levels_fleet()
-            for b in range(d):
-                powers[b, a] = float(states[b].core_power[0])
+        kernel = FleetEvalKernel(chips, workloads,
+                                 Assignment(core_of=(core_id,)))
+        # Row a * d + b is app a on die b; transposed to one
+        # contiguous row of app powers per die.
+        powers = np.ascontiguousarray(np.array(
+            [float(s.core_power[0])
+             for s in kernel.evaluate_max_levels_fleet()]
+        ).reshape(len(workloads), d).T)
         for b in range(d):
             mean_power[b, core_id] = np.mean(powers[b])
     cols["power_ratio"] = np.array(

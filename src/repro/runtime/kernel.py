@@ -27,12 +27,15 @@ Bitwise equality is engineered, not hoped for:
   called directly with column-shaped operands — IEEE elementwise ops
   are value-deterministic under broadcasting);
 * reductions whose summation order is implementation-defined (the
-  per-core ``weights @ factors`` dot, the per-L2-block ``np.mean``,
-  the LU triangular solves) are kept in exactly the serial form, one
-  contiguous-row call per candidate — BLAS ``dgemv`` and LAPACK
-  multi-RHS ``getrs`` produce different per-column rounding than
-  their single-vector counterparts, so they are deliberately avoided
-  (see DESIGN.md §13);
+  per-core ``weights @ factors`` dot, the LU triangular solves) are
+  kept in exactly the serial form, one contiguous-row call per
+  candidate — BLAS ``dgemv`` and LAPACK multi-RHS ``getrs`` produce
+  different per-column rounding than their single-vector
+  counterparts, so they are deliberately avoided (see DESIGN.md §13);
+  the per-L2-block ``np.mean`` numerator is one
+  ``np.add.reduce(..., axis=1)`` per block, numpy's pairwise sum
+  along each contiguous row — bitwise the serial per-row sum
+  (property-tested in tests/test_kernel.py);
 * converged candidates are frozen and compacted out of the working
   set, so a candidate's iterate sequence never depends on its batch
   neighbours.
@@ -48,7 +51,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -66,11 +69,18 @@ from ..thermal.hotspot import (
 from ..workloads import Workload
 from .evaluation import EVALUATION_COUNTER, Assignment, SystemState
 
-# Rows per internal fixed-point chunk: keeps the (rows, total_cells)
+# Cells per internal fixed-point slab: keeps the (rows, total_cells)
 # working matrices inside the L2 cache (16 x ~2.5k cells x 8 B = 320 kB
-# per matrix). Purely an execution-shaping knob — results are
-# independent of it.
-_CHUNK_ROWS = 16
+# per matrix). A slab holds as many rows as fit the budget: 10-16
+# candidates of 4-8 threads on a 20-core die, ~170-190 fleet rows of
+# ~210-240 cells. Purely execution-shaping — rows are independent, so
+# results do not depend on it.
+_SLAB_CELLS = 16 * 2500
+
+
+def _slab_rows(n_cells: int) -> int:
+    """Rows per fixed-point slab for rows of ``n_cells`` cells."""
+    return max(1, _SLAB_CELLS // max(1, n_cells))
 
 
 def _scalar_pow_prefactor(temps_cols: np.ndarray,
@@ -373,15 +383,16 @@ class EvalKernel:
                 f"level {levels[b, i]} out of range for core "
                 f"{self._core_of[i]}")
 
-        # Past ~16 candidates the (rows, total_cells) working matrices
+        # Past the cell budget the (rows, total_cells) working matrices
         # outgrow the L2 cache and per-candidate cost climbs ~60%, so
-        # oversized batches are processed in cache-sized chunks.
+        # oversized batches are processed in cache-sized slabs.
         # Candidates are fully independent (each runs its own serial
-        # iteration schedule), so chunking cannot change any result.
+        # iteration schedule), so slabbing cannot change any result.
         out: List[SystemState] = []
         total_iters = 0
-        for c0 in range(0, n_rows, _CHUNK_ROWS):
-            states, iters = self._eval_rows(levels[c0:c0 + _CHUNK_ROWS])
+        step = _slab_rows(self._cells_row.size)
+        for c0 in range(0, n_rows, step):
+            states, iters = self._eval_rows(levels[c0:c0 + step])
             out.extend(states)
             total_iters += iters
 
@@ -520,16 +531,15 @@ class EvalKernel:
         packed cell row; reductions whose summation order matters stay
         in exactly the serial form — one contiguous-slice ``dot`` per
         candidate for cores (BLAS ``dgemv`` rounds differently than
-        per-row ``ddot``), one contiguous-slice pairwise sum per
-        candidate per L2 block (bitwise equal to the serial
-        ``np.mean``) — matching ``CoreLeakageModel.power`` /
-        ``L2LeakageModel.power_per_block``.
+        per-row ``ddot``), one row-wise pairwise sum per L2 block
+        (``np.add.reduce`` along contiguous rows sums each row exactly
+        as the serial ``np.mean`` does) — matching
+        ``CoreLeakageModel.power`` / ``L2LeakageModel.power_per_block``.
         """
         if np.any(temps <= 0):
             raise ValueError("temperature must be positive kelvin")
         n_active = temps.shape[0]
         dot = np.dot
-        add_reduce = np.add.reduce
         pref_cols = self._pref_cols(
             np.take(temps, self._pow_cols, axis=1), vdd_cols)
         np.take(pref_cols, self._cell_powcol, axis=1, out=pref)
@@ -544,12 +554,9 @@ class EvalKernel:
                 vals[b] = dot(weights, factors[b, s0:s1])
             leak[:, self._core_of[i]] = self._leak_calib[i] * vals
         for j, (s0, s1) in enumerate(self._l2_segs):
-            size = s1 - s0
-            vals = np.empty(n_active)
-            for b in range(n_active):
-                vals[b] = add_reduce(factors[b, s0:s1])
+            sums = np.add.reduce(factors[:, s0:s1], axis=1)
             leak[:, self._n_cores + j] = (
-                (self._l2_calib * self._l2_share[j]) * (vals / size))
+                (self._l2_calib * self._l2_share[j]) * (sums / (s1 - s0)))
         return leak
 
     def _fixed_point(self, block_dyn: np.ndarray, vdd_cols: np.ndarray,
@@ -673,13 +680,19 @@ class FleetEvalKernel:
     results (Figs 4/5, Table 5), where every sampled variation map is
     evaluated at the same operating point and only the statistics over
     the fleet matter. The leakage/IPC/Ceff lookup tables and the
-    packed leakage-cell row gain a leading *die* axis, and the
-    leakage-temperature fixed point runs in lockstep across dies with
-    per-row convergence masks and compaction, so die ``d``'s iterate
+    packed leakage-cell row gain a leading *row* axis, and the
+    leakage-temperature fixed point runs in lockstep across rows with
+    per-row convergence masks and compaction, so each row's iterate
     sequence is exactly the serial
-    :func:`repro.runtime.evaluation.evaluate_levels` schedule on
-    ``chips[d]`` and the results are **bitwise identical** to the
-    per-die serial loop (tests/test_fleet.py property-tests this).
+    :func:`repro.runtime.evaluation.evaluate_levels` schedule on its
+    die and the results are **bitwise identical** to the per-die
+    serial loop (tests/test_fleet.py property-tests this).
+
+    Rows are (workload, die) pairs in workload-major order: with ``W``
+    workloads over ``D`` dies, row ``w * D + k`` runs ``workloads[w]``
+    on ``chips[k]``. A single :class:`Workload` is ``W = 1`` (one row
+    per die); several same-shaped workloads let one kernel cover a
+    whole per-app sweep (the Figure 4(a) analysis) in one fixed point.
 
     All dies must come off the same design: identical
     :class:`~repro.config.TechParams` and
@@ -693,8 +706,9 @@ class FleetEvalKernel:
     Args:
         chips: The fleet ('s current slab) of characterised dies.
         workload: The threads (``workload[i]`` runs on
-            ``assignment.core_of[i]`` of every die).
-        assignment: Thread-to-core mapping, shared by all dies.
+            ``assignment.core_of[i]`` of every die), or a sequence of
+            such workloads, each run on every die.
+        assignment: Thread-to-core mapping, shared by all rows.
         ipc_multipliers: Optional per-thread phase IPC multipliers.
         ceff_multipliers: Optional per-thread phase power multipliers.
     """
@@ -702,7 +716,7 @@ class FleetEvalKernel:
     def __init__(
         self,
         chips: Sequence[ChipProfile],
-        workload: Workload,
+        workload: Union[Workload, Sequence[Workload]],
         assignment: Assignment,
         ipc_multipliers: Optional[Sequence[float]] = None,
         ceff_multipliers: Optional[Sequence[float]] = None,
@@ -717,8 +731,12 @@ class FleetEvalKernel:
             if chip.thermal.n_blocks != first.thermal.n_blocks:
                 raise ValueError("fleet dies must share the thermal "
                                  "network shape")
+        workloads = ((workload,) if isinstance(workload, Workload)
+                     else tuple(workload))
+        if not workloads:
+            raise ValueError("need at least one workload")
         n = assignment.n_threads
-        if workload.n_threads != n:
+        if any(wl.n_threads != n for wl in workloads):
             raise ValueError("workload and assignment sizes differ")
         if max(assignment.core_of) >= first.n_cores:
             raise ValueError("assignment references a core beyond the die")
@@ -731,43 +749,58 @@ class FleetEvalKernel:
 
         d = len(chips)
         self.chips = list(chips)
-        self.workload = workload
+        self.workloads = workloads
         self.assignment = assignment
         self.stats = KernelStats()
         self._tech = first.tech
         self._thermal = first.thermal
         self._n = n
         self._d = d
+        self._rows = len(workloads) * d
+        self._die_of = np.tile(np.arange(d), len(workloads))
         self._core_of = np.asarray(assignment.core_of, dtype=int)
         self._n_cores = first.n_cores
         self._n_blocks = first.thermal.n_blocks
 
-        # Per-(die, thread, level) lookup tables, each entry computed
-        # with the exact scalar expression the serial path uses.
+        # Per-(die, thread, level) V/f tables, then per-(row, thread,
+        # level) IPC and dynamic power as array expressions over dies
+        # with the serial scalar path's operands in its order — IEEE
+        # elementwise ops are value-deterministic, so every entry is
+        # bit-for-bit the serial computation.
         self._n_levels = np.array(
             [first.cores[c].vf_table.n_levels for c in assignment.core_of])
-        for chip in chips:
-            for i, c in enumerate(assignment.core_of):
-                if chip.cores[c].vf_table.n_levels != self._n_levels[i]:
-                    raise ValueError("fleet dies must share the DVFS "
-                                     "level grid")
         max_levels = int(self._n_levels.max())
         self._volts_tab = np.zeros((d, n, max_levels))
         self._freqs_tab = np.zeros((d, n, max_levels))
-        self._ipc_tab = np.zeros((d, n, max_levels))
-        self._dyn_tab = np.zeros((d, n, max_levels))
         for k, chip in enumerate(chips):
-            for i, core in enumerate(assignment.core_of):
-                table = chip.cores[core].vf_table
-                for lv in range(table.n_levels):
-                    v = table.voltages[lv]
-                    f = table.freqs[lv]
-                    self._volts_tab[k, i, lv] = v
-                    self._freqs_tab[k, i, lv] = f
-                    self._ipc_tab[k, i, lv] = (workload[i].ipc_at(f)
-                                               * ipc_mult[i])
-                    self._dyn_tab[k, i, lv] = (workload[i].ceff
-                                               * ceff_mult[i] * v ** 2 * f)
+            for i, c in enumerate(assignment.core_of):
+                table = chip.cores[c].vf_table
+                if table.n_levels != self._n_levels[i]:
+                    raise ValueError("fleet dies must share the DVFS "
+                                     "level grid")
+                self._volts_tab[k, i, :table.n_levels] = table.voltages
+                self._freqs_tab[k, i, :table.n_levels] = table.freqs
+        # The serial ``v ** 2`` is a scalar libm pow() (see
+        # _scalar_pow_prefactor): one math.pow per (die, level)
+        # voltage, shared by every workload's rows.
+        vsq = np.array([math.pow(v, 2.0) for v in
+                        self._volts_tab.ravel().tolist()]
+                       ).reshape(self._volts_tab.shape)
+        ipc_tab = np.zeros((len(workloads), d, n, max_levels))
+        dyn_tab = np.zeros((len(workloads), d, n, max_levels))
+        for w, wl in enumerate(workloads):
+            for i, app in enumerate(wl):
+                nl = int(self._n_levels[i])
+                f = self._freqs_tab[:, i, :nl]
+                # AppProfile.ipc_at, elementwise (frequencies from a
+                # VFTable are validated positive).
+                ipc_tab[w, :, i, :nl] = (
+                    1.0 / (app.cpi_core + app.mem_seconds_per_instr * f)
+                    * ipc_mult[i])
+                dyn_tab[w, :, i, :nl] = (app.ceff * ceff_mult[i]
+                                         * vsq[:, i, :nl] * f)
+        self._ipc_tab = ipc_tab.reshape(self._rows, n, max_levels)
+        self._dyn_tab = dyn_tab.reshape(self._rows, n, max_levels)
 
         # Packed leakage state: the same concatenated cell row as
         # EvalKernel, but one row PER DIE — per-die Vth maps, weights
@@ -841,39 +874,45 @@ class FleetEvalKernel:
     def n_dies(self) -> int:
         return self._d
 
+    @property
+    def n_rows(self) -> int:
+        """(workload, die) rows: ``len(workloads) * n_dies``."""
+        return self._rows
+
     # ------------------------------------------------------------------
     def evaluate_levels_fleet(
         self, levels: Sequence[int],
         errors: str = "raise",
     ) -> List[SystemState]:
-        """Evaluate one decision on every die of the fleet.
+        """Evaluate one decision on every row of the fleet.
 
         Args:
             levels: ``(n_threads,)`` per-thread DVFS levels applied to
-                every die (the fleet's shared decision), or a
-                ``(n_dies, n_threads)`` matrix with one row per die.
+                every row (the fleet's shared decision), or a
+                ``(n_rows, n_threads)`` matrix with one row per
+                (workload, die) row.
             errors: ``"raise"`` (default) re-raises the exception of
-                the lowest-index failing die — exactly what a serial
-                in-order scan of the dies would raise first.
+                the lowest-index failing row — exactly what a serial
+                in-order scan of the rows would raise first.
                 ``"isolate"`` returns the exception *object* in that
-                die's slot instead, so campaign drivers can record the
+                row's slot instead, so campaign drivers can record the
                 failure and keep streaming the rest of the fleet.
 
         Returns:
-            One converged :class:`SystemState` per die, in die order —
-            element ``k`` is bitwise-identical to
-            ``evaluate_levels(chips[k], workload, assignment,
-            levels[k])``.
+            One converged :class:`SystemState` per row, in row order —
+            element ``w * n_dies + k`` is bitwise-identical to
+            ``evaluate_levels(chips[k], workloads[w], assignment,
+            levels[w * n_dies + k])``.
         """
         if errors not in ("raise", "isolate"):
             raise ValueError("errors must be 'raise' or 'isolate'")
         start = time.perf_counter()
         lv = np.asarray(levels, dtype=int)
         if lv.ndim == 1:
-            lv = np.broadcast_to(lv[None, :], (self._d, lv.size)).copy()
-        if lv.shape != (self._d, self._n):
+            lv = np.broadcast_to(lv[None, :], (self._rows, lv.size)).copy()
+        if lv.shape != (self._rows, self._n):
             raise ValueError("need one level per thread (optionally "
-                             "one row per die)")
+                             "one row per (workload, die) row)")
         bad = (lv < 0) | (lv >= self._n_levels[None, :])
         if bad.any():
             b, i = np.argwhere(bad)[0]
@@ -883,15 +922,16 @@ class FleetEvalKernel:
 
         out: List[SystemState] = []
         total_iters = 0
-        for c0 in range(0, self._d, _CHUNK_ROWS):
-            c1 = min(c0 + _CHUNK_ROWS, self._d)
-            states, iters = self._eval_dies(c0, c1, lv[c0:c1])
+        step = _slab_rows(self._cells_mat.shape[1])
+        for c0 in range(0, self._rows, step):
+            c1 = min(c0 + step, self._rows)
+            states, iters = self._eval_slab(c0, c1, lv[c0:c1])
             out.extend(states)
             total_iters += iters
 
         wall = time.perf_counter() - start
-        self.stats.record(self._d, total_iters, wall)
-        EVALUATION_COUNTER.record_batch(self._d, total_iters, wall)
+        self.stats.record(self._rows, total_iters, wall)
+        EVALUATION_COUNTER.record_batch(self._rows, total_iters, wall)
         if errors == "raise":
             for item in out:
                 if isinstance(item, Exception):
@@ -901,27 +941,26 @@ class FleetEvalKernel:
     def evaluate_max_levels_fleet(self,
                                   errors: str = "raise",
                                   ) -> List[SystemState]:
-        """Every die at its cores' top operating points (NUniFreq)."""
+        """Every row at its cores' top operating points (NUniFreq)."""
         return self.evaluate_levels_fleet(self._n_levels - 1,
                                           errors=errors)
 
-    def _eval_dies(self, c0: int, c1: int, levels: np.ndarray):
-        """Evaluate one cache-sized slab of dies (rows ``c0:c1``)."""
+    def _eval_slab(self, c0: int, c1: int, levels: np.ndarray):
+        """Evaluate one cache-sized slab of rows ``c0:c1``."""
         n_rows = c1 - c0
-        # Per-(die, thread) gathers from the (die, thread, level)
+        rows = np.arange(c0, c1)[:, None]
+        dies = self._die_of[c0:c1]
+        # Per-(row, thread) gathers from the (die|row, thread, level)
         # tables; ascontiguousarray for the same reason EvalKernel
         # uses np.take — downstream row reductions must see
         # C-contiguous rows so BLAS takes the contiguous-ddot path.
-        ix_d = np.arange(n_rows)[:, None]
         ix_t = np.arange(self._n)[None, :]
         volts = np.ascontiguousarray(
-            self._volts_tab[c0:c1][ix_d, ix_t, levels])
+            self._volts_tab[dies[:, None], ix_t, levels])
         freqs = np.ascontiguousarray(
-            self._freqs_tab[c0:c1][ix_d, ix_t, levels])
-        ipcs = np.ascontiguousarray(
-            self._ipc_tab[c0:c1][ix_d, ix_t, levels])
-        core_dyn = np.ascontiguousarray(
-            self._dyn_tab[c0:c1][ix_d, ix_t, levels])
+            self._freqs_tab[dies[:, None], ix_t, levels])
+        ipcs = np.ascontiguousarray(self._ipc_tab[rows, ix_t, levels])
+        core_dyn = np.ascontiguousarray(self._dyn_tab[rows, ix_t, levels])
 
         block_dyn = np.zeros((n_rows, self._n_blocks))
         block_dyn[:, self._core_of] = core_dyn
@@ -934,12 +973,15 @@ class FleetEvalKernel:
         vdd_cols = np.take(volts_ext, self._powcol_vsrc, axis=1)
         dib_cols = DIBL_COEFF * (vdd_cols - self._vdd_nominal)
         dib_full = np.take(dib_cols, self._cell_powcol, axis=1)
-        cells = self._cells_mat[c0:c1]
+        cells = np.take(self._cells_mat, dies, axis=0)
         temps, powers, iters, row_errors = self._fixed_point(
-            c0, cells, block_dyn, vdd_cols, dib_full)
+            dies, cells, block_dyn, vdd_cols, dib_full)
+        # Failed rows hold garbage: park them so the shared recompute
+        # and row sums stay finite (their slots become exceptions).
         for b, err in enumerate(row_errors):
             if err is not None:
                 temps[b] = self._thermal.ambient_k
+                powers[b] = 0.0
 
         if np.any(temps <= 0):
             raise ValueError("temperature must be positive kelvin")
@@ -952,22 +994,27 @@ class FleetEvalKernel:
         factors = _leakage_factors_inplace(
             cells[:, :cc], tgat, dib_full[:, :cc], pref,
             np.empty_like(tgat), self._n_slope, self._vth_temp_coeff)
+        weights = np.take(self._w_mat, dies, axis=0)
         core_leak = np.empty((n_rows, self._n))
         for i in range(self._n):
             s0, s1 = self._core_segs[i]
             vals = np.empty(n_rows)
             for b in range(n_rows):
-                vals[b] = dot(self._w_mat[c0 + b, s0:s1],
-                              factors[b, s0:s1])
-            core_leak[:, i] = self._calib_mat[c0:c1, i] * vals
+                vals[b] = dot(weights[b, s0:s1], factors[b, s0:s1])
+            core_leak[:, i] = self._calib_mat[dies, i] * vals
+        # Row-wise sums along contiguous rows are bitwise the serial
+        # per-state ``.sum()`` calls (the L2 reduction's property).
+        l2_powers = np.add.reduce(powers[:, self._n_cores:], axis=1)
+        totals = (np.add.reduce(core_dyn, axis=1)
+                  + np.add.reduce(core_leak, axis=1))
 
         out: List = []
         for b in range(n_rows):
             if row_errors[b] is not None:
                 out.append(row_errors[b])
                 continue
-            l2_power = float(powers[b, self._n_cores:].sum())
-            total = float(core_dyn[b].sum() + core_leak[b].sum()) + l2_power
+            l2_power = float(l2_powers[b])
+            total = float(totals[b]) + l2_power
             out.append(SystemState(
                 voltages=volts[b].copy(),
                 freqs=freqs[b].copy(),
@@ -981,26 +1028,24 @@ class FleetEvalKernel:
         return out, int(iters.sum())
 
     # ------------------------------------------------------------------
-    def _leakage_matrix(self, c0: int, rows: np.ndarray,
-                        temps: np.ndarray, vdd_cols: np.ndarray,
-                        dib: np.ndarray, cells: np.ndarray,
-                        tgat: np.ndarray, tmp: np.ndarray,
-                        pref: np.ndarray) -> np.ndarray:
-        """Per-die per-block leakage power (bitwise-serial).
+    def _leakage_matrix(self, dies: np.ndarray, temps: np.ndarray,
+                        vdd_cols: np.ndarray, dib: np.ndarray,
+                        cells: np.ndarray, tgat: np.ndarray,
+                        tmp: np.ndarray, pref: np.ndarray) -> np.ndarray:
+        """Per-row per-block leakage power (bitwise-serial).
 
-        ``rows`` maps each active working row to its die index within
-        the current slab (offset ``c0`` into the fleet arrays), so
-        compacted survivors keep reading *their own* weights and
-        calibrations. Reduction forms exactly mirror
+        ``dies`` maps each active working row to its die, so compacted
+        survivors keep reading *their own* weights and calibrations
+        (gathered once per call). Reduction forms exactly mirror
         ``CoreLeakageModel.power`` / ``L2LeakageModel.power_per_block``
-        — one contiguous-slice ``dot`` / pairwise sum per die per
-        segment, never a batched BLAS call (see DESIGN.md §13/§17).
+        — one contiguous-slice ``dot`` per row per core, one row-wise
+        pairwise sum per L2 segment, never a batched BLAS call (see
+        DESIGN.md §13/§17).
         """
         if np.any(temps <= 0):
             raise ValueError("temperature must be positive kelvin")
         n_active = temps.shape[0]
         dot = np.dot
-        add_reduce = np.add.reduce
         pref_cols = _scalar_pow_prefactor(
             np.take(temps, self._pow_cols, axis=1), vdd_cols)
         np.take(pref_cols, self._cell_powcol, axis=1, out=pref)
@@ -1008,34 +1053,30 @@ class FleetEvalKernel:
         factors = _leakage_factors_inplace(
             cells, tgat, dib, pref, tmp,
             self._n_slope, self._vth_temp_coeff)
+        weights = np.take(self._w_mat, dies, axis=0)
         leak = np.zeros((n_active, self._n_blocks))
         for i in range(self._n):
             s0, s1 = self._core_segs[i]
             vals = np.empty(n_active)
             for b in range(n_active):
-                vals[b] = dot(self._w_mat[c0 + rows[b], s0:s1],
-                              factors[b, s0:s1])
-            leak[:, self._core_of[i]] = (
-                self._calib_mat[c0 + rows, i] * vals)
+                vals[b] = dot(weights[b, s0:s1], factors[b, s0:s1])
+            leak[:, self._core_of[i]] = self._calib_mat[dies, i] * vals
+        l2_calib = self._l2_calib[dies]
         for j, (s0, s1) in enumerate(self._l2_segs):
-            size = s1 - s0
-            vals = np.empty(n_active)
-            for b in range(n_active):
-                vals[b] = add_reduce(factors[b, s0:s1])
+            sums = np.add.reduce(factors[:, s0:s1], axis=1)
             leak[:, self._n_cores + j] = (
-                (self._l2_calib[c0 + rows]
-                 * self._l2_share_mat[c0 + rows, j]) * (vals / size))
+                (l2_calib * self._l2_share_mat[dies, j]) * (sums / (s1 - s0)))
         return leak
 
-    def _fixed_point(self, c0: int, cells: np.ndarray,
+    def _fixed_point(self, dies: np.ndarray, cells: np.ndarray,
                      block_dyn: np.ndarray, vdd_cols: np.ndarray,
                      dib_full: np.ndarray):
-        """Lockstep leakage-temperature fixed point across dies.
+        """Lockstep leakage-temperature fixed point across rows.
 
         Identical control flow to :meth:`EvalKernel._fixed_point` —
         per-row convergence masks, freezing, compaction, error parity
-        — with the per-die cell matrix compacted alongside the other
-        row state so a surviving die never feels its finished or
+        — with the per-row cell matrix compacted alongside the other
+        row state so a surviving row never feels its finished or
         failed fleet neighbours.
         """
         n_rows = block_dyn.shape[0]
@@ -1081,7 +1122,7 @@ class FleetEvalKernel:
                 return out_temps, out_powers, out_iters, row_errors
             a = work_temps.shape[0]
             leak = self._leakage_matrix(
-                c0, orig, work_temps, work_vdd, work_dib, work_cells,
+                dies[orig], work_temps, work_vdd, work_dib, work_cells,
                 tgat[:a], tmp[:a], pref[:a])
             total = work_dyn + leak
             bad = ~np.isfinite(total).all(axis=1)

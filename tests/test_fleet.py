@@ -63,13 +63,14 @@ from repro.runtime.evaluation import (
     evaluate_levels,
     evaluate_max_levels,
 )
-from repro.runtime.kernel import FleetEvalKernel
+from repro.runtime.kernel import FleetEvalKernel, _slab_rows
 from repro.workloads import SPEC_APPS, Workload
 
 
 @pytest.fixture(scope="module")
 def fleet_chips():
-    """18 characterised fleet-arch dies (crosses the 16-row slab)."""
+    """18 characterised fleet-arch dies (18 x 14 app rows per core
+    cross the fixed-point slab)."""
     return characterize_batch(DEFAULT_TECH, FLEET_ARCH, 7,
                               list(range(18)), workers=1, cache=None)
 
@@ -172,6 +173,73 @@ class TestFleetKernel:
         for chip, (p, f) in zip(factory.chips(4), pairs):
             assert p == core_power_ratio(chip)
             assert f == core_frequency_ratio(chip)
+
+
+class TestFleetAppRows:
+    """(app, die) rows: the fig04 analysis shape, one kernel per core
+    over every app, app-major, across the fixed-point slab boundary."""
+
+    def test_app_major_rows_bitwise_across_slab(self, fleet_chips):
+        workloads = [Workload((app,)) for app in SPEC_APPS]
+        d = len(fleet_chips)
+        for core in range(FLEET_ARCH.n_cores):
+            assignment = Assignment(core_of=(core,))
+            kernel = FleetEvalKernel(fleet_chips, workloads, assignment)
+            step = _slab_rows(kernel._cells_mat.shape[1])
+            assert kernel.n_rows == len(SPEC_APPS) * d > step
+            states = kernel.evaluate_max_levels_fleet()
+            assert len(states) == kernel.n_rows
+            # Serial oracle on the rows either side of the slab
+            # boundary and at both ends.
+            for r in (0, step - 1, step, kernel.n_rows - 1):
+                serial = evaluate_max_levels(
+                    fleet_chips[r % d], workloads[r // d], assignment)
+                assert_state_equal(states[r], serial)
+
+    def test_isolate_rows_fail_like_serial(self, fleet_chips):
+        """Runaway rows fail with the serial exception; their slab
+        neighbours are still bitwise the serial states."""
+        workloads = [Workload((app,)) for app in SPEC_APPS]
+        assignment = Assignment(core_of=(0,))
+        chips = fleet_chips[:2]
+        kernel = FleetEvalKernel(chips, workloads, assignment,
+                                 ceff_multipliers=[20.0])
+        top = [chips[0].cores[0].vf_table.n_levels - 1]
+        results = kernel.evaluate_levels_fleet(top, errors="isolate")
+        n_err = 0
+        for r, item in enumerate(results):
+            try:
+                ref = evaluate_levels(chips[r % 2], workloads[r // 2],
+                                      assignment, top,
+                                      ceff_multipliers=[20.0])
+            except Exception as exc:  # noqa: BLE001 — parity check
+                n_err += 1
+                assert type(item) is type(exc)
+                assert str(item) == str(exc)
+            else:
+                assert_state_equal(item, ref)
+        assert 0 < n_err < len(results)
+
+    def test_metrics_split_invariant(self, fleet_chips):
+        whole = fleet_die_metrics(fleet_chips[:18])
+        parts = [fleet_die_metrics(fleet_chips[:5]),
+                 fleet_die_metrics(fleet_chips[5:18])]
+        for name, col in whole.items():
+            joined = np.concatenate([part[name] for part in parts])
+            assert np.array_equal(col.view(np.uint64),
+                                  joined.view(np.uint64)), name
+
+    def test_rejects_mismatched_workloads(self, fleet_chips,
+                                          fleet_workload):
+        workload, assignment = fleet_workload
+        with pytest.raises(ValueError, match="sizes differ"):
+            FleetEvalKernel(fleet_chips[:2],
+                            [workload, Workload((SPEC_APPS[0],))],
+                            assignment)
+        kernel = FleetEvalKernel(fleet_chips[:2], [workload, workload],
+                                 assignment)
+        with pytest.raises(ValueError, match="one level per thread"):
+            kernel.evaluate_levels_fleet(np.zeros((2, 3), dtype=int))
 
 
 class TestRunningMoments:

@@ -10,6 +10,8 @@ evaluation counts and states of their serial implementations.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import COST_PERFORMANCE, LOW_POWER
 from repro.pm import (BarrierAwarePm, ExhaustiveSearch, FoxtonStar, LinOpt,
@@ -100,6 +102,34 @@ class TestBitwiseIdentity:
                  for b in range(matrix.shape[0])]
         for a, b in zip(together, alone):
             _assert_state_bitwise(a, b)
+
+
+class TestRowwiseReduction:
+    """The one assumption the batched L2 reduction rests on."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(width=st.integers(1, 300), left=st.integers(0, 40),
+           right=st.integers(0, 40), batch=st.integers(1, 300),
+           spare=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_add_reduce_rows_is_per_row_sum(self, width, left, right,
+                                            batch, spare, seed):
+        """``np.add.reduce(x[:, s0:s1], axis=1)`` is bitwise the
+        per-row ``np.add.reduce(x[b, s0:s1])``, and dividing by the
+        width is bitwise ``np.mean`` — across numpy's <8, 8-accumulator
+        and >128 pairwise-block regimes, at any offset inside a wider
+        row of a row-prefix of scratch (the kernels' ``tmp[:a]``)."""
+        rng = np.random.default_rng(seed)
+        s0, s1 = left, left + width
+        scratch = (rng.random((batch + spare, s1 + right))
+                   * 10.0 ** rng.uniform(-6, 6, (batch + spare, 1)))
+        x = scratch[:batch]
+        sums = np.add.reduce(x[:, s0:s1], axis=1)
+        rows = np.array([np.add.reduce(x[b, s0:s1])
+                         for b in range(batch)])
+        means = np.array([np.mean(x[b, s0:s1]) for b in range(batch)])
+        assert np.array_equal(sums.view(np.uint64), rows.view(np.uint64))
+        assert np.array_equal((sums / width).view(np.uint64),
+                              means.view(np.uint64))
 
 
 class TestErrorParity:
